@@ -17,7 +17,7 @@
 //! same assertions run, so the pool-parallel phases stay under the
 //! interpreter's aliasing checks.
 
-use matrox_core::{inspector, to_bytes, HMatrix, MatRoxParams};
+use matrox_core::{inspector, inspector_p1, inspector_p2, to_bytes, HMatrix, MatRoxParams};
 use matrox_points::{generate, DatasetId, Kernel, PointSet};
 
 fn problem(n: usize) -> (PointSet, Kernel) {
@@ -157,4 +157,67 @@ fn parallel_inspect_factorize_solve_matches_width_one() {
             "inspect->factorize->solve at {w} threads is not bitwise identical to 1 thread"
         );
     }
+}
+
+/// FNV-1a (64-bit): a fixed, dependency-free hash, so a golden recorded
+/// once stays valid across toolchains (std's `DefaultHasher` makes no such
+/// promise).
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Golden hashes of the `MATROX1` image of `inspector_p2(inspector_p1(..))`.
+///
+/// The set-ups are libm-free: grid and uniform-random points plus the
+/// Cauchy kernel use only IEEE `+ - * / sqrt`, which are correctly rounded
+/// everywhere, so the images do not depend on the platform's libm.  Any
+/// change to the inspector that alters a single output bit (an operation
+/// reordered in the QR, a different neighbour list, a new tie-break) shows
+/// up here; a change that only removes discarded work does not.
+#[test]
+#[cfg_attr(miri, ignore = "golden bytes are numeric, not aliasing, coverage")]
+fn inspector_image_matches_golden_hashes() {
+    let kernel = Kernel::Cauchy { bandwidth: 0.5 };
+    // (set-up, points, structure, [(bacc, hash of the MATROX1 image)])
+    type Case = (&'static str, DatasetId, MatRoxParams, [(f64, u64); 3]);
+    let cases: [Case; 2] = [
+        (
+            "grid/hss",
+            DatasetId::Grid,
+            MatRoxParams::hss(),
+            [
+                (1e-2, 0xd0b3_efd9_836e_eb00),
+                (1e-5, 0x19ef_21d5_5cab_ae21),
+                (1e-8, 0xff5c_37ad_41d0_0c48),
+            ],
+        ),
+        (
+            "random/h2b",
+            DatasetId::Random,
+            MatRoxParams::h2b(),
+            [
+                (1e-2, 0x6a78_9b1e_27bd_0988),
+                (1e-5, 0xe0b5_e973_1db2_9e4f),
+                (1e-8, 0x889f_f919_ef75_0c40),
+            ],
+        ),
+    ];
+    let mut mismatches = Vec::new();
+    for (name, dataset, params, goldens) in &cases {
+        let pts = generate(*dataset, 384, 5);
+        // One p1, re-used for every accuracy: the Fig 10 reuse path.
+        let p1 = inspector_p1(&pts, &kernel, &params.with_leaf_size(32)).expect("inspector_p1");
+        for &(bacc, want) in goldens {
+            let h = inspector_p2(&pts, &p1, &kernel, bacc).expect("inspector_p2");
+            let got = fnv1a64(&to_bytes(&h));
+            if got != want {
+                mismatches.push(format!(
+                    "{name} bacc={bacc:.0e}: image hash {got:#018x} != golden {want:#018x}"
+                ));
+            }
+        }
+    }
+    assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
 }

@@ -21,7 +21,7 @@
 
 use crate::gemm::{gemm_seq, GemmOp};
 use crate::matrix::Matrix;
-use crate::qr::pivoted_qr;
+use crate::qr::{pivoted_qr, pivoted_qr_col_major, PivotedQr};
 use crate::solve::solve_upper_triangular_matrix;
 
 /// Result of a row or column interpolative decomposition.
@@ -42,8 +42,13 @@ pub struct IdResult {
 /// * `tol` — relative tolerance controlling the adaptive rank.
 /// * `max_rank` — hard cap on the rank.
 pub fn column_id(a: &Matrix, tol: f64, max_rank: usize) -> IdResult {
-    let n = a.cols();
-    let f = pivoted_qr(a, tol, max_rank);
+    id_from_qr(&pivoted_qr(a, tol, max_rank))
+}
+
+/// The column ID read off a pivoted QR `A P = Q R`: only `R` and the
+/// permutation are needed, never `Q`.
+fn id_from_qr(f: &PivotedQr) -> IdResult {
+    let n = f.r.cols();
     let k = f.rank;
 
     if k == 0 {
@@ -88,10 +93,12 @@ pub fn column_id(a: &Matrix, tol: f64, max_rank: usize) -> IdResult {
 ///
 /// Implemented as a column ID of `A^T`: skeleton columns of `A^T` are skeleton
 /// rows of `A`, and the interpolation matrix is the transpose of the column
-/// interpolation factor.
+/// interpolation factor.  The row-major storage of `A` already is `A^T` in
+/// column-major order, so it seeds the QR work buffer without a transpose.
 pub fn row_id(a: &Matrix, tol: f64, max_rank: usize) -> IdResult {
-    let at = a.transpose();
-    let cid = column_id(&at, tol, max_rank);
+    let (m, n) = a.shape();
+    let f = pivoted_qr_col_major(a.as_slice().to_vec(), n, m, tol, max_rank);
+    let cid = id_from_qr(&f);
     IdResult {
         rank: cid.rank,
         skeleton: cid.skeleton,

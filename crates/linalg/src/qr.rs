@@ -12,6 +12,11 @@ use crate::matrix::Matrix;
 
 /// Result of a (possibly truncated) column-pivoted QR factorization
 /// `A P = Q R`.
+///
+/// `Q` is kept in factored form — the Householder reflectors — and only
+/// formed on request by [`PivotedQr::q`]: the interpolative decomposition
+/// reads `R` and the permutation alone, so building an explicit `Q` for
+/// every block would be discarded work.
 #[derive(Debug, Clone)]
 pub struct PivotedQr {
     /// Number of Householder reflections applied; equals the detected
@@ -23,19 +28,63 @@ pub struct PivotedQr {
     /// The `rank x n` upper-trapezoidal factor `R` (rows beyond `rank` are
     /// dropped).
     pub r: Matrix,
-    /// The `m x rank` orthonormal factor `Q` with explicit columns.
-    pub q: Matrix,
+    /// Row count `m` of the factored matrix.
+    m: usize,
+    /// Column-major `m x n` work buffer: column `k < rank` holds reflector
+    /// `k`'s tail `v[1..]` below the diagonal.
+    house: Vec<f64>,
+    /// Leading entry `v[0]` of each reflector.
+    v0s: Vec<f64>,
+    /// Householder scalars `tau_k` (reflector `I - tau v v^T`).
+    taus: Vec<f64>,
 }
 
 impl PivotedQr {
+    /// Form the `m x rank` orthonormal factor `Q` explicitly by applying
+    /// the reflectors to the leading columns of the identity, in reverse
+    /// order.
+    pub fn q(&self) -> Matrix {
+        let m = self.m;
+        let rank = self.rank;
+        let mut q = Matrix::zeros(m, rank);
+        for k in 0..rank {
+            q.set(k, k, 1.0);
+        }
+        let mut v = vec![0.0; m];
+        for k in (0..rank).rev() {
+            let tau = self.taus[k];
+            if tau == 0.0 {
+                continue;
+            }
+            let v = &mut v[..m - k];
+            v[0] = self.v0s[k];
+            v[1..].copy_from_slice(&self.house[k * m + k + 1..(k + 1) * m]);
+            // Q <- (I - tau v v^T) Q, affecting rows k..m.
+            for j in 0..rank {
+                let mut dot = 0.0;
+                for (i, vi) in v.iter().enumerate() {
+                    dot += vi * q.get(k + i, j);
+                }
+                let scale = tau * dot;
+                if scale != 0.0 {
+                    for (i, vi) in v.iter().enumerate() {
+                        let cur = q.get(k + i, j);
+                        q.set(k + i, j, cur - scale * vi);
+                    }
+                }
+            }
+        }
+        q
+    }
+
     /// Reconstruct the (approximation of the) original matrix `Q * R * P^T`.
     pub fn reconstruct(&self) -> Matrix {
-        let m = self.q.rows();
+        let m = self.m;
         let n = self.r.cols();
         let mut qr = Matrix::zeros(m, n);
         crate::gemm::gemm_seq(
             1.0,
-            &self.q,
+            &self.q(),
             crate::gemm::GemmOp::NoTrans,
             &self.r,
             crate::gemm::GemmOp::NoTrans,
@@ -66,22 +115,43 @@ impl PivotedQr {
 /// Returns the truncated factors together with the detected rank and the
 /// column permutation.
 pub fn pivoted_qr(a: &Matrix, tol: f64, max_rank: usize) -> PivotedQr {
-    let m = a.rows();
-    let n = a.cols();
-    let kmax = m.min(n).min(max_rank);
-
+    let (m, n) = a.shape();
     // Work on a column-major copy: the Householder updates touch whole
     // columns, so column-major keeps them contiguous.
-    let mut col: Vec<Vec<f64>> = (0..n).map(|j| a.col(j)).collect();
+    let mut cols = vec![0.0; m * n];
+    for i in 0..m {
+        for (j, &x) in a.row(i).iter().enumerate() {
+            cols[j * m + i] = x;
+        }
+    }
+    pivoted_qr_col_major(cols, m, n, tol, max_rank)
+}
+
+/// [`pivoted_qr`] of the `m x n` matrix stored column-major in `cols`
+/// (consumed as the work buffer).  The row ID calls this directly: a
+/// row-major `A` is exactly `A^T` in column-major order, so no transpose
+/// is ever materialized.
+pub(crate) fn pivoted_qr_col_major(
+    mut cols: Vec<f64>,
+    m: usize,
+    n: usize,
+    tol: f64,
+    max_rank: usize,
+) -> PivotedQr {
+    debug_assert_eq!(cols.len(), m * n);
+    let kmax = m.min(n).min(max_rank);
     let mut perm: Vec<usize> = (0..n).collect();
     // Squared column norms, updated incrementally (Businger–Golub downdating).
-    let mut norms: Vec<f64> = col.iter().map(|c| c.iter().map(|x| x * x).sum()).collect();
+    let mut norms: Vec<f64> = (0..n)
+        .map(|j| cols[j * m..(j + 1) * m].iter().map(|x| x * x).sum())
+        .collect();
 
     // Householder reflector storage: v[0] per reflector (the sub-diagonal
     // entries of v are kept in-place below the diagonal of the column) and
-    // the scalar taus.
+    // the scalar taus.  `v` is one scratch buffer reused by every step.
     let mut taus: Vec<f64> = Vec::with_capacity(kmax);
     let mut v0s: Vec<f64> = Vec::with_capacity(kmax);
+    let mut v: Vec<f64> = Vec::with_capacity(m);
     let mut r00: f64 = 0.0;
     let mut rank = 0;
 
@@ -94,12 +164,14 @@ pub fn pivoted_qr(a: &Matrix, tol: f64, max_rank: usize) -> PivotedQr {
             .map(|(i, _)| i + k)
             .unwrap();
         if pivot != k {
-            col.swap(k, pivot);
+            let (head, tail) = cols.split_at_mut(pivot * m);
+            head[k * m..(k + 1) * m].swap_with_slice(&mut tail[..m]);
             perm.swap(k, pivot);
             norms.swap(k, pivot);
         }
+        let col_k = &cols[k * m..(k + 1) * m];
         // Recompute the pivot norm exactly to avoid downdating drift.
-        let exact: f64 = col[k][k..].iter().map(|x| x * x).sum();
+        let exact: f64 = col_k[k..].iter().map(|x| x * x).sum();
         let alpha = exact.sqrt();
         if k == 0 {
             r00 = alpha;
@@ -110,7 +182,8 @@ pub fn pivoted_qr(a: &Matrix, tol: f64, max_rank: usize) -> PivotedQr {
         }
 
         // Householder reflector for column k, rows k..m.
-        let mut v: Vec<f64> = col[k][k..].to_vec();
+        v.clear();
+        v.extend_from_slice(&col_k[k..]);
         let beta = if v[0] >= 0.0 { -alpha } else { alpha };
         v[0] -= beta;
         let vnorm2: f64 = v.iter().map(|x| x * x).sum();
@@ -118,7 +191,7 @@ pub fn pivoted_qr(a: &Matrix, tol: f64, max_rank: usize) -> PivotedQr {
 
         // Apply the reflector to the trailing columns.
         for j in (k + 1)..n {
-            let cj = &mut col[j];
+            let cj = &mut cols[j * m..(j + 1) * m];
             let mut dot = 0.0;
             for (i, vi) in v.iter().enumerate() {
                 dot += vi * cj[k + i];
@@ -136,54 +209,31 @@ pub fn pivoted_qr(a: &Matrix, tol: f64, max_rank: usize) -> PivotedQr {
 
         // Store R[k,k] on the diagonal and the tail of v below it; v[0] and
         // tau go to side storage so Q can be re-assembled later.
-        col[k][k] = beta;
-        for (i, vi) in v.iter().enumerate().skip(1) {
-            col[k][k + i] = *vi;
-        }
+        let col_k = &mut cols[k * m..(k + 1) * m];
+        col_k[k] = beta;
+        col_k[k + 1..].copy_from_slice(&v[1..]);
         taus.push(tau);
         v0s.push(v[0]);
         rank = k + 1;
     }
 
-    // Assemble R (rank x n): R[k, j] = col[j][k] for j >= k.
+    // Assemble R (rank x n): R[k, j] = cols[j][k] for j >= k.
     let mut r = Matrix::zeros(rank, n);
     for j in 0..n {
         for k in 0..rank.min(j + 1) {
-            r.set(k, j, col[j][k]);
+            r.set(k, j, cols[j * m + k]);
         }
     }
 
-    // Assemble Q (m x rank) by applying the reflectors to the leading columns
-    // of the identity, in reverse order.
-    let mut q = Matrix::zeros(m, rank);
-    for k in 0..rank {
-        q.set(k, k, 1.0);
+    PivotedQr {
+        rank,
+        perm,
+        r,
+        m,
+        house: cols,
+        v0s,
+        taus,
     }
-    for k in (0..rank).rev() {
-        let tau = taus[k];
-        if tau == 0.0 {
-            continue;
-        }
-        let mut v = vec![0.0; m - k];
-        v[0] = v0s[k];
-        v[1..].copy_from_slice(&col[k][k + 1..m]);
-        // Q <- (I - tau v v^T) Q, affecting rows k..m.
-        for j in 0..rank {
-            let mut dot = 0.0;
-            for i in 0..(m - k) {
-                dot += v[i] * q.get(k + i, j);
-            }
-            let scale = tau * dot;
-            if scale != 0.0 {
-                for i in 0..(m - k) {
-                    let cur = q.get(k + i, j);
-                    q.set(k + i, j, cur - scale * v[i]);
-                }
-            }
-        }
-    }
-
-    PivotedQr { rank, perm, r, q }
 }
 
 #[cfg(test)]
@@ -216,7 +266,8 @@ mod tests {
     fn q_is_orthonormal() {
         let a = random_matrix(20, 10, 7);
         let f = pivoted_qr(&a, 0.0, usize::MAX);
-        let qtq = crate::gemm::matmul(&f.q.transpose(), &f.q);
+        let q = f.q();
+        let qtq = crate::gemm::matmul(&q.transpose(), &q);
         let eye = Matrix::identity(f.rank);
         assert!(relative_error(&qtq, &eye) < 1e-12);
     }
@@ -235,7 +286,7 @@ mod tests {
         let a = random_matrix(30, 30, 9);
         let f = pivoted_qr(&a, 0.0, 7);
         assert_eq!(f.rank, 7);
-        assert_eq!(f.q.cols(), 7);
+        assert_eq!(f.q().cols(), 7);
         assert_eq!(f.r.rows(), 7);
     }
 

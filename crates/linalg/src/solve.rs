@@ -42,31 +42,33 @@ pub fn solve_upper_triangular_matrix(u: &Matrix, b: &Matrix) -> Matrix {
     let n = b.cols();
     let mut x = Matrix::zeros(k, n);
     // Back-substitution over all right-hand sides at once, row-major friendly:
-    // process rows bottom-up, updating full rows.  Each row of `b` is read
-    // exactly once (at its own iteration), so no work buffer is needed.
+    // process rows bottom-up, updating full rows.  Row `i` of `x` is its own
+    // accumulator, and the already-solved rows below it are read in place, so
+    // the solve allocates nothing beyond `x`.
     for i in (0..k).rev() {
-        let urow_i = u.row(i).to_vec();
+        let urow_i = u.row(i);
         let d = urow_i[i];
         assert!(
             d != 0.0,
             "solve_upper_triangular_matrix: singular diagonal at {i}"
         );
         // x[i, :] = (b[i, :] - sum_{j>i} U[i,j] * x[j, :]) / d
-        let mut acc = b.row(i).to_vec();
-        for j in (i + 1)..k {
-            let uij = urow_i[j];
-            if uij == 0.0 {
+        let (head, solved) = x.as_mut_slice().split_at_mut((i + 1) * n);
+        let acc = &mut head[i * n..];
+        acc.copy_from_slice(b.row(i));
+        // `max(1)`: `chunks_exact` rejects 0, and with no columns there are
+        // no solved rows to read anyway.
+        for (uij, xrow) in urow_i[i + 1..k].iter().zip(solved.chunks_exact(n.max(1))) {
+            if *uij == 0.0 {
                 continue;
             }
-            let xrow = x.row(j).to_vec();
-            for c in 0..n {
-                acc[c] -= uij * xrow[c];
+            for (a, xc) in acc.iter_mut().zip(xrow) {
+                *a -= uij * xc;
             }
         }
-        for c in 0..n {
-            acc[c] /= d;
+        for a in acc.iter_mut() {
+            *a /= d;
         }
-        x.row_mut(i).copy_from_slice(&acc);
     }
     x
 }

@@ -101,6 +101,9 @@ impl Config {
                 "crates/exec/src/executor.rs".into(),
                 // Counting global allocator used to pin allocation-freedom.
                 "crates/exec/tests/alloc_free.rs".into(),
+                // Counting global allocator pinning the ID's bounded,
+                // rank-independent allocation count.
+                "crates/linalg/tests/id_alloc.rs".into(),
                 // AVX2+FMA packed GEMM microkernel (raw-pointer tiles).
                 "crates/linalg/src/kernel/avx2.rs".into(),
                 // Audited epoll FFI for the serving network front-end: the
@@ -127,6 +130,7 @@ impl Config {
                 // Allocation counter inside the counting test allocator.
                 "crates/core/tests/corruption_fuzz.rs".into(),
                 "crates/exec/tests/alloc_free.rs".into(),
+                "crates/linalg/tests/id_alloc.rs".into(),
                 // Pool-stress suite: a Mutex serializing two test functions
                 // around the process-global failpoint registry.
                 "crates/core/tests/pool_stress.rs".into(),

@@ -15,8 +15,8 @@
 //!   index)`, so tree `t` is a pure function of the inputs no matter which
 //!   worker builds it or in what order.
 //! * **Neighbour search** parallelizes *across points*.  Each point gathers
-//!   candidates from its own leaf in every tree in fixed tree order, then
-//!   ranks them by `(distance, index)` — the index tie-break makes the
+//!   the distinct candidates from its own leaf in every tree, then keeps
+//!   the best `k` by `(distance, index)` — the index tie-break makes the
 //!   result independent of gathering order even for equidistant candidates.
 //!   Each point's list lands in its own pre-sized output slot; there is no
 //!   shared candidate accumulation anywhere.
@@ -26,6 +26,7 @@ use matrox_points::PointSet;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
+use std::cmp::Ordering;
 
 /// Parameters for the approximate k-NN search.
 #[derive(Debug, Clone, Copy)]
@@ -130,30 +131,56 @@ pub fn approximate_knn(points: &PointSet, params: &KnnParams) -> Vec<Vec<usize>>
         .collect();
 
     // Phase 2: per-point candidate gathering and ranking, one output slot
-    // per point.  Trees are visited in fixed order and ties rank by index,
-    // so the schedule cannot influence the lists.
+    // per point.  Ties rank by index, so the schedule cannot influence the
+    // lists.
     let mut knn: Vec<Vec<usize>> = vec![Vec::new(); n];
     knn.par_iter_mut()
         .enumerate()
         .with_min_len(grain)
         .for_each(|(i, out)| {
-            let mut cands: Vec<(f64, usize)> = Vec::with_capacity(trees.len() * leaf_bound);
-            for tree in &trees {
+            let leaves = trees.iter().map(|tree| {
                 let (s, e) = tree.leaves[tree.leaf_of[i]];
-                for &j in &tree.idx[s..e] {
-                    if j != i {
-                        cands.push((points.dist2(i, j), j));
-                    }
-                }
-            }
-            cands.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap().then(a.1.cmp(&b.1)));
-            // The same pair found via different trees yields the identical
-            // (distance, index) entry, so after the sort duplicates are
-            // adjacent and a plain dedup removes them all.
-            cands.dedup();
-            out.extend(cands.into_iter().take(k).map(|(_, j)| j));
+                &tree.idx[s..e]
+            });
+            *out = nearest_in_leaves(points, i, leaves, k);
         });
     knn
+}
+
+/// Candidate order: by distance, ties broken by index.
+fn by_distance_then_index(a: &(f64, usize), b: &(f64, usize)) -> Ordering {
+    a.0.partial_cmp(&b.0).unwrap().then(a.1.cmp(&b.1))
+}
+
+/// The `k` nearest of the points in `leaves` to point `i` (excluding `i`),
+/// ascending under the (distance, index) order.
+///
+/// The same neighbour reached through several trees is kept once, before
+/// any distance is computed.  Indices are then distinct, so (distance,
+/// index) is a strict total order and the `k` smallest entries are unique:
+/// selecting them and sorting only those gives exactly the list a full
+/// sort would.
+fn nearest_in_leaves<'a>(
+    points: &PointSet,
+    i: usize,
+    leaves: impl Iterator<Item = &'a [usize]> + Clone,
+    k: usize,
+) -> Vec<usize> {
+    let mut ids: Vec<usize> = Vec::with_capacity(leaves.clone().map(<[usize]>::len).sum());
+    for leaf in leaves {
+        ids.extend(leaf.iter().copied().filter(|&j| j != i));
+    }
+    ids.sort_unstable();
+    ids.dedup();
+    let mut cands: Vec<(f64, usize)> = ids.iter().map(|&j| (points.dist2(i, j), j)).collect();
+    if cands.len() > k {
+        cands.select_nth_unstable_by(k, by_distance_then_index);
+        cands.truncate(k);
+    }
+    cands.sort_unstable_by(by_distance_then_index);
+    // Collect from a borrow: `into_iter` would reuse the candidate buffer
+    // in place, and every point's list would keep its capacity.
+    cands.iter().map(|&(_, j)| j).collect()
 }
 
 /// Exact k-nearest neighbours (quadratic); used by tests to measure the
@@ -250,6 +277,83 @@ mod tests {
             },
         );
         assert!(knn.iter().all(|l| l.len() == 16));
+    }
+
+    /// The ranking `nearest_in_leaves` replaced, kept as its oracle: score
+    /// every gathered candidate, sort them all, drop the duplicates found
+    /// through several trees (adjacent after the sort), keep the first `k`.
+    fn nearest_sort_all(points: &PointSet, i: usize, leaves: &[&[usize]], k: usize) -> Vec<usize> {
+        let mut cands: Vec<(f64, usize)> = Vec::new();
+        for leaf in leaves {
+            for &j in *leaf {
+                if j != i {
+                    cands.push((points.dist2(i, j), j));
+                }
+            }
+        }
+        cands.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap().then(a.1.cmp(&b.1)));
+        cands.dedup();
+        cands.into_iter().take(k).map(|(_, j)| j).collect()
+    }
+
+    /// Assert the select-based ranking equals the sort-all oracle for every
+    /// point of `pts`, both on the raw candidate sets (including a `k`
+    /// beyond the candidate count) and through `approximate_knn`.
+    fn assert_matches_sort_all(pts: &PointSet) {
+        let n = pts.len();
+        for k in [1usize, 8, 32] {
+            let params = KnnParams {
+                k,
+                ..Default::default()
+            };
+            let leaf_bound = params.leaf_cap.max(2 * k).max(4);
+            let trees: Vec<RpTree> = (0..params.num_trees)
+                .map(|t| build_rp_tree(pts, leaf_bound, params.seed, t))
+                .collect();
+            let knn = approximate_knn(pts, &params);
+            for (i, list) in knn.iter().enumerate() {
+                let leaves: Vec<&[usize]> = trees
+                    .iter()
+                    .map(|t| {
+                        let (s, e) = t.leaves[t.leaf_of[i]];
+                        &t.idx[s..e]
+                    })
+                    .collect();
+                let want = nearest_sort_all(pts, i, &leaves, k);
+                assert_eq!(list, &want, "k={k}, point {i}");
+                assert_eq!(
+                    nearest_in_leaves(pts, i, leaves.iter().copied(), k),
+                    want,
+                    "k={k}, point {i}"
+                );
+                // More neighbours requested than there are candidates.
+                let all = nearest_sort_all(pts, i, &leaves, usize::MAX);
+                assert!(all.len() < 4 * n);
+                assert_eq!(
+                    nearest_in_leaves(pts, i, leaves.iter().copied(), 4 * n),
+                    all,
+                    "k beyond the {} candidates, point {i}",
+                    all.len()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn select_matches_sort_all_with_duplicated_points() {
+        // Every point three times over: distance-0 ties between distinct
+        // indices, and the same candidate reached through several trees.
+        let base = generate(DatasetId::Random, 120, 11);
+        let coords: Vec<f64> = (0..3)
+            .flat_map(|_| (0..base.len()).flat_map(|i| base.point(i).to_vec()))
+            .collect();
+        assert_matches_sort_all(&PointSet::new(base.dim(), coords));
+    }
+
+    #[test]
+    fn select_matches_sort_all_on_a_lattice() {
+        // A regular grid: most candidates tie on distance with others.
+        assert_matches_sort_all(&generate(DatasetId::Grid, 400, 0));
     }
 
     #[test]
