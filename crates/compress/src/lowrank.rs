@@ -19,10 +19,11 @@
 
 use matrox_linalg::knobs::resolve_grain;
 use matrox_linalg::{failpoint, row_id, Matrix};
-use matrox_points::{kernel_block, Kernel, PointSet};
+use matrox_points::{kernel_block, kernel_block_symmetric, Kernel, PointSet};
 use matrox_sampling::SamplingInfo;
 use matrox_tree::{ClusterTree, HTree};
 use rayon::prelude::*;
+use std::collections::HashMap;
 
 /// Parameters of the low-rank approximation module.
 #[derive(Debug, Clone, Copy)]
@@ -191,27 +192,20 @@ pub fn compress(
 
     let sranks: Vec<usize> = bases.iter().map(|b| b.srank).collect();
 
-    // Dense near blocks D_{i,j} = K(I_i, I_j).
-    let near_pairs = htree.near_pairs();
-    let near_blocks: Vec<((usize, usize), Matrix)> = near_pairs
-        .par_iter()
-        .with_min_len(grain)
-        .map(|&(i, j)| {
-            let block = kernel_block(points, kernel, tree.indices(i), tree.indices(j));
-            ((i, j), block)
-        })
-        .collect();
+    // Dense near blocks D_{i,j} = K(I_i, I_j); a diagonal block evaluates
+    // its upper triangle only.
+    let near_blocks = pair_blocks(&htree.near_pairs(), grain, |i, j| {
+        if i == j {
+            kernel_block_symmetric(points, kernel, tree.indices(i))
+        } else {
+            kernel_block(points, kernel, tree.indices(i), tree.indices(j))
+        }
+    });
 
     // Coupling blocks B_{i,j} = K(skel_i, skel_j).
-    let far_pairs = htree.far_pairs();
-    let far_blocks: Vec<((usize, usize), Matrix)> = far_pairs
-        .par_iter()
-        .with_min_len(grain)
-        .map(|&(i, j)| {
-            let block = kernel_block(points, kernel, &bases[i].skeleton, &bases[j].skeleton);
-            ((i, j), block)
-        })
-        .collect();
+    let far_blocks = pair_blocks(&htree.far_pairs(), grain, |i, j| {
+        kernel_block(points, kernel, &bases[i].skeleton, &bases[j].skeleton)
+    });
 
     Compression {
         params: *params,
@@ -220,6 +214,43 @@ pub fn compress(
         near_blocks,
         far_blocks,
     }
+}
+
+/// The block `block(i, j)` of every pair, in the order of `pairs`, with each
+/// symmetric pair evaluated once.
+///
+/// When `(j, i)` is listed as well, only the pair with `i < j` is
+/// evaluated and `(j, i)` receives its transpose, so `block(j, i)` must be
+/// the transpose of `block(i, j)` bit for bit.  It is for the blocks here:
+/// each is `K(rows_i, rows_j)` of a bitwise-symmetric [`Kernel`].  Both
+/// relations of an [`HTree`] are symmetric, so about half the off-diagonal
+/// blocks are mirrored.
+fn pair_blocks(
+    pairs: &[(usize, usize)],
+    grain: usize,
+    block: impl Fn(usize, usize) -> Matrix + Sync,
+) -> Vec<((usize, usize), Matrix)> {
+    let position: HashMap<(usize, usize), usize> =
+        pairs.iter().enumerate().map(|(p, &ij)| (ij, p)).collect();
+    let mirrored = |i: usize, j: usize| i > j && position.contains_key(&(j, i));
+    let mut blocks: Vec<Option<Matrix>> = pairs
+        .par_iter()
+        .with_min_len(grain)
+        .map(|&(i, j)| (!mirrored(i, j)).then(|| block(i, j)))
+        .collect();
+    for (p, &(i, j)) in pairs.iter().enumerate() {
+        if blocks[p].is_none() {
+            let src = blocks[position[&(j, i)]]
+                .as_ref()
+                .expect("the mirror of a listed pair is evaluated");
+            blocks[p] = Some(src.transpose());
+        }
+    }
+    pairs
+        .iter()
+        .zip(blocks)
+        .map(|(&ij, b)| (ij, b.expect("every pair is evaluated or mirrored")))
+        .collect()
 }
 
 #[cfg(test)]

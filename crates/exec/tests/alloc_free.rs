@@ -6,6 +6,10 @@
 //! PR-4 follow-up this suite pins).  The test wraps the global allocator
 //! with a counter and asserts that an evaluation spanning many panels
 //! performs exactly as many allocations as one spanning a single panel.
+//!
+//! The counter is process-global and the test runner runs test functions
+//! on parallel threads, so every measurement lives in the one test function
+//! below: no other test's fixture build can land inside a measured window.
 
 use matrox_analysis::{build_blockset, build_cds_with_grain, build_coarsenset, CoarsenParams};
 use matrox_codegen::{generate_plan, CodegenParams, EvalPlan};
@@ -147,22 +151,11 @@ fn check(opts: ExecOptions, bound_single: u64) {
     );
 }
 
-#[test]
-fn sequential_panel_loop_is_allocation_free() {
-    check(ExecOptions::sequential(), 8);
-}
-
-#[test]
-fn parallel_panel_loop_is_allocation_free() {
-    check(ExecOptions::full(), 8);
-}
-
 /// A plan whose CDS was packed with grain 1 (every slot its own pool job —
 /// the parallel inspector's worst case) must be byte-identical to the
 /// auto-grain plan, and the executor prepared on it must evaluate to the
 /// same bits with the same allocation count.
-#[test]
-fn grain_one_packed_plan_is_bitwise_identical_and_allocation_free() {
+fn check_grain_one_packed_plan() {
     const N: usize = if cfg!(miri) { 64 } else { 256 };
     const PANEL: usize = 16;
     let (tree, plan) = fixture(N);
@@ -206,4 +199,11 @@ fn grain_one_packed_plan_is_bitwise_identical_and_allocation_free() {
         after - mid,
         "allocation count diverged on the grain-1 packed plan"
     );
+}
+
+#[test]
+fn panel_loop_is_allocation_free() {
+    check(ExecOptions::sequential(), 8);
+    check(ExecOptions::full(), 8);
+    check_grain_one_packed_plan();
 }

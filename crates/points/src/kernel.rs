@@ -154,6 +154,9 @@ mod tests {
 
     #[test]
     fn kernels_are_symmetric() {
+        use rand::{Rng, SeedableRng};
+        // Bitwise, not approximately: compression evaluates one block of
+        // each symmetric pair and mirrors it.
         let kernels = [
             Kernel::Gaussian { bandwidth: 2.0 },
             Kernel::GaussianRidge {
@@ -164,10 +167,24 @@ mod tests {
             Kernel::Laplace { bandwidth: 1.5 },
             Kernel::Cauchy { bandwidth: 0.7 },
         ];
-        let x = [0.3, -1.2, 2.0];
-        let y = [1.0, 0.5, -0.25];
-        for k in kernels {
-            assert_eq!(k.eval(&x, &y), k.eval(&y, &x), "{} not symmetric", k.name());
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x5e);
+        for dim in [1usize, 2, 3, 8, 18] {
+            for pair in 0..500 {
+                let x: Vec<f64> = (0..dim).map(|_| rng.gen_range(-3.0..3.0)).collect();
+                let y: Vec<f64> = if pair % 50 == 0 {
+                    x.clone()
+                } else {
+                    (0..dim).map(|_| rng.gen_range(-3.0..3.0)).collect()
+                };
+                for k in kernels {
+                    assert_eq!(
+                        k.eval(&x, &y).to_bits(),
+                        k.eval(&y, &x).to_bits(),
+                        "{} not symmetric at {x:?}, {y:?}",
+                        k.name()
+                    );
+                }
+            }
         }
     }
 

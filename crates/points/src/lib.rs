@@ -32,13 +32,34 @@ use rayon::prelude::*;
 /// Evaluate the dense kernel block `K(rows, cols)` for the given global point
 /// indices.  This is the only way the rest of the workspace touches kernel
 /// entries, mirroring the "implicit" kernel matrix of the paper.
+///
+/// The block is evaluated a row at a time from a dimension-major copy of
+/// the column points, and every entry is bitwise equal to
+/// `kernel.eval(points.point(i), points.point(j))`.
 pub fn kernel_block(points: &PointSet, kernel: &Kernel, rows: &[usize], cols: &[usize]) -> Matrix {
+    let tile = ColumnTile::gather(points, cols);
     let mut out = Matrix::zeros(rows.len(), cols.len());
     for (ri, &i) in rows.iter().enumerate() {
-        let pi = points.point(i);
-        let row = out.row_mut(ri);
-        for (cj, &j) in cols.iter().enumerate() {
-            row[cj] = kernel.eval(pi, points.point(j));
+        tile.eval_row(kernel, points.point(i), 0, out.row_mut(ri));
+    }
+    out
+}
+
+/// The symmetric block `K(idx, idx)`, bitwise equal to
+/// `kernel_block(points, kernel, idx, idx)`.
+///
+/// Only the upper triangle is evaluated; the lower one is its mirror.  Every
+/// [`Kernel`] is bitwise symmetric — `x - y` and `y - x` differ only in sign,
+/// so their squares and the sums of those squares are identical — hence the
+/// mirrored entries are exactly the ones a full evaluation would produce.
+pub fn kernel_block_symmetric(points: &PointSet, kernel: &Kernel, idx: &[usize]) -> Matrix {
+    let n = idx.len();
+    let tile = ColumnTile::gather(points, idx);
+    let mut out = Matrix::zeros(n, n);
+    for (r, &i) in idx.iter().enumerate() {
+        tile.eval_row(kernel, points.point(i), r, &mut out.row_mut(r)[r..]);
+        for c in 0..r {
+            out.set(r, c, out.get(c, r));
         }
     }
     out
@@ -53,17 +74,57 @@ pub fn kernel_block_par(
     cols: &[usize],
 ) -> Matrix {
     let ncols = cols.len();
+    let tile = ColumnTile::gather(points, cols);
     let mut out = Matrix::zeros(rows.len(), ncols);
     out.as_mut_slice()
         .par_chunks_mut(ncols.max(1))
         .zip(rows.par_iter())
-        .for_each(|(row, &i)| {
-            let pi = points.point(i);
-            for (cj, &j) in cols.iter().enumerate() {
-                row[cj] = kernel.eval(pi, points.point(j));
-            }
-        });
+        .for_each(|(row, &i)| tile.eval_row(kernel, points.point(i), 0, row));
     out
+}
+
+/// Column points gathered dimension-major: `coords[k * ncols + c]` is
+/// coordinate `k` of column point `c`.
+///
+/// One block row then accumulates the squared distances of all its entries
+/// dimension by dimension.  Each entry is its own chain — starting from
+/// `+0.0` and adding `(x[k] - y[k])^2` for `k = 0..dim` in order, exactly
+/// as [`Kernel::eval`] does — so the loop over columns vectorizes without
+/// reassociating any sum, and the entries stay bitwise equal to
+/// `Kernel::eval`.
+struct ColumnTile {
+    ncols: usize,
+    coords: Vec<f64>,
+}
+
+impl ColumnTile {
+    fn gather(points: &PointSet, cols: &[usize]) -> Self {
+        let ncols = cols.len();
+        let mut coords = vec![0.0; points.dim() * ncols];
+        for (c, &j) in cols.iter().enumerate() {
+            for (k, &y) in points.point(j).iter().enumerate() {
+                coords[k * ncols + c] = y;
+            }
+        }
+        ColumnTile { ncols, coords }
+    }
+
+    /// Write `K(x, y_c)` for the columns `first..` into `row`, whose length
+    /// is `ncols - first`.
+    fn eval_row(&self, kernel: &Kernel, x: &[f64], first: usize, row: &mut [f64]) {
+        debug_assert_eq!(row.len(), self.ncols - first);
+        row.fill(0.0);
+        for (k, &xk) in x.iter().enumerate() {
+            let ys = &self.coords[k * self.ncols + first..(k + 1) * self.ncols];
+            for (d2, &y) in row.iter_mut().zip(ys) {
+                let d = xk - y;
+                *d2 += d * d;
+            }
+        }
+        for v in row.iter_mut() {
+            *v = kernel.eval_dist2(*v);
+        }
+    }
 }
 
 /// Compute the exact product `K * W` without assembling `K`, in parallel over

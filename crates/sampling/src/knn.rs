@@ -21,6 +21,7 @@
 //!   Each point's list lands in its own pre-sized output slot; there is no
 //!   shared candidate accumulation anywhere.
 
+use crate::marker::with_marker;
 use matrox_linalg::knobs::resolve_grain;
 use matrox_points::PointSet;
 use rand::rngs::StdRng;
@@ -156,23 +157,27 @@ fn by_distance_then_index(a: &(f64, usize), b: &(f64, usize)) -> Ordering {
 /// ascending under the (distance, index) order.
 ///
 /// The same neighbour reached through several trees is kept once, before
-/// any distance is computed.  Indices are then distinct, so (distance,
-/// index) is a strict total order and the `k` smallest entries are unique:
-/// selecting them and sorting only those gives exactly the list a full
-/// sort would.
+/// any distance is computed, by this thread's generation-stamped marker.
+/// Indices are then distinct, so (distance, index) is a strict total order
+/// and the `k` smallest entries are unique whatever order the candidates
+/// were gathered in: selecting them and sorting only those gives exactly
+/// the list a full sort would.
 fn nearest_in_leaves<'a>(
     points: &PointSet,
     i: usize,
     leaves: impl Iterator<Item = &'a [usize]> + Clone,
     k: usize,
 ) -> Vec<usize> {
-    let mut ids: Vec<usize> = Vec::with_capacity(leaves.clone().map(<[usize]>::len).sum());
-    for leaf in leaves {
-        ids.extend(leaf.iter().copied().filter(|&j| j != i));
-    }
-    ids.sort_unstable();
-    ids.dedup();
-    let mut cands: Vec<(f64, usize)> = ids.iter().map(|&j| (points.dist2(i, j), j)).collect();
+    let mut cands: Vec<(f64, usize)> = Vec::with_capacity(leaves.clone().map(<[usize]>::len).sum());
+    with_marker(points.len(), |seen| {
+        for leaf in leaves {
+            for &j in leaf {
+                if j != i && seen.insert(j) {
+                    cands.push((points.dist2(i, j), j));
+                }
+            }
+        }
+    });
     if cands.len() > k {
         cands.select_nth_unstable_by(k, by_distance_then_index);
         cands.truncate(k);

@@ -19,6 +19,7 @@
 #![forbid(unsafe_code)]
 
 pub mod knn;
+mod marker;
 pub mod node_sampling;
 
 pub use knn::{approximate_knn, exact_knn, KnnParams};

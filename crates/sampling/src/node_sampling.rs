@@ -8,6 +8,7 @@
 //! which the interpolative decomposition of each node is computed.
 
 use crate::knn::{approximate_knn, KnnParams};
+use crate::marker::with_marker;
 use matrox_points::{Kernel, PointSet};
 use matrox_tree::ClusterTree;
 use rand::rngs::StdRng;
@@ -97,31 +98,36 @@ pub fn sample_nodes(
             // Merge member-point neighbour lists, excluding points inside the
             // node itself (those belong to the near field / diagonal block).
             let mut merged: Vec<usize> = Vec::new();
-            let mut seen = std::collections::HashSet::new();
-            for &p in tree.perm[node.start..node.end].iter() {
-                for &q in &point_knn[p] {
-                    if !inside(q) && seen.insert(q) {
-                        merged.push(q);
+            with_marker(points.len(), |seen| {
+                for &p in tree.perm[node.start..node.end].iter() {
+                    for &q in &point_knn[p] {
+                        if !inside(q) && seen.insert(q) {
+                            merged.push(q);
+                        }
                     }
                 }
-            }
+            });
 
             // Importance sampling: rank merged neighbours by kernel magnitude
             // w.r.t. the node centroid (for decaying kernels this favours the
-            // strongest far interactions) and keep the top `sampling_size`.
-            let mut weighted: Vec<(f64, usize)> = merged
+            // strongest far interactions) and keep the top `sampling_size`,
+            // heaviest first, ties in merge order.  Merge positions are
+            // distinct, so the top entries are unique and selecting them
+            // gives exactly the prefix of a stable sort by weight.
+            let mut ranked: Vec<(f64, usize)> = merged
                 .iter()
-                .map(|&q| {
-                    let w = kernel.eval(&node.centroid, points.point(q));
-                    (w, q)
-                })
+                .enumerate()
+                .map(|(at, &q)| (kernel.eval(&node.centroid, points.point(q)), at))
                 .collect();
-            weighted.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap());
-            let mut chosen: Vec<usize> = weighted
-                .iter()
-                .take(params.sampling_size)
-                .map(|&(_, q)| q)
-                .collect();
+            let heaviest_first = |a: &(f64, usize), b: &(f64, usize)| {
+                b.0.partial_cmp(&a.0).unwrap().then(a.1.cmp(&b.1))
+            };
+            if ranked.len() > params.sampling_size {
+                ranked.select_nth_unstable_by(params.sampling_size, heaviest_first);
+                ranked.truncate(params.sampling_size);
+            }
+            ranked.sort_unstable_by(heaviest_first);
+            let mut chosen: Vec<usize> = ranked.iter().map(|&(_, at)| merged[at]).collect();
 
             // Top up with uniform samples from outside the node so the ID
             // sample also represents the weak, distant interactions.
